@@ -40,9 +40,9 @@ let ablations () =
   addf "JIT specialization (p=2 unrolled, real wall time): %.1fx faster than the generic contraction"
     (tg /. max 1e-9 ts);
   (* 3. kernel fusion vs launch overhead (sw4lite) *)
-  let g = Sw4.Grid.create ~nx:48 ~ny:48 ~h:100.0 in
-  let t_split = Sw4.Scenario.variant_time_per_step g Sw4.Scenario.Naive_cuda in
-  let t_fused = Sw4.Scenario.variant_time_per_step ~fused:true g Sw4.Scenario.Naive_cuda in
+  let points = 48 * 48 in
+  let t_split = Sw4.Scenario.variant_time_per_step ~points Sw4.Scenario.Naive_cuda in
+  let t_fused = Sw4.Scenario.variant_time_per_step ~fused:true ~points Sw4.Scenario.Naive_cuda in
   addf "kernel fusion (48^2 stencil): %.1f -> %.1f us/step (%.0f%% of the small-grid step was launch overhead)"
     (t_split *. 1e6) (t_fused *. 1e6)
     ((t_split -. t_fused) /. t_split *. 100.0);

@@ -101,10 +101,10 @@ let acceleration_seq (g : Grid.t) s ~ux ~uy ~ax ~ay =
   stress_rows g s ~ux ~uy 2 (ny - 2);
   divergence_rows g s ~ax ~ay margin (ny - margin)
 
-(** Flop/byte volume of one full-grid acceleration evaluation, used by the
-    device pricing. Two 4th-order stencil sweeps over ~n points. *)
-let work (g : Grid.t) =
-  let n = float_of_int (g.Grid.nx * g.Grid.ny) in
+(** Flop/byte volume of one acceleration evaluation over [points] grid
+    points, used by the device pricing. Two 4th-order stencil sweeps. *)
+let work ~points =
+  let n = float_of_int points in
   (* stress pass: 4 derivatives (7 flops) + 10 combine flops; divergence:
      4 derivatives + 4 flops; per point *)
   Hwsim.Kernel.make ~name:"sw4-rhs" ~launches:2 ~flops:(n *. 74.0)

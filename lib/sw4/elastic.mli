@@ -41,5 +41,7 @@ val acceleration_seq :
   ax:Icoe_util.Fbuf.t -> ay:Icoe_util.Fbuf.t -> unit
 (** Serial reference evaluation of the same operator. *)
 
-val work : Grid.t -> Hwsim.Kernel.t
-(** Flop/byte volume of one full-grid evaluation. *)
+val work : points:int -> Hwsim.Kernel.t
+(** Flop/byte volume of one evaluation over [points] grid points (a grid
+    of [nx * ny] points prices as [~points:(nx * ny)]). Pricing needs
+    only the count, never a {!Grid.t}. *)

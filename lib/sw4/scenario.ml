@@ -94,11 +94,12 @@ let variant_device = function
   | Cpu_openmp -> Hwsim.Device.power9
   | _ -> Hwsim.Device.v100
 
-(** Simulated seconds per timestep of the RHS kernel for a grid, under a
-    variant. [fused] merges the stress and divergence sweeps into one
-    launch pass (the paper's kernel-merging optimization). *)
-let variant_time_per_step ?(fused = false) (g : Grid.t) v =
-  let w = Elastic.work g in
+(** Simulated seconds per timestep of the RHS kernel over [points] grid
+    points, under a variant. [fused] merges the stress and divergence
+    sweeps into one launch pass (the paper's kernel-merging
+    optimization). *)
+let variant_time_per_step ?(fused = false) ~points v =
+  let w = Elastic.work ~points in
   let w = if fused then { w with Hwsim.Kernel.launches = 1 } else w in
   let device = variant_device v in
   let policy = variant_policy v in
@@ -110,62 +111,35 @@ let variant_time_per_step ?(fused = false) (g : Grid.t) v =
   in
   launch +. Hwsim.Roofline.time ~eff device { w with Hwsim.Kernel.launches = 0 }
 
-(* The rates are pure functions of (node, points), but pricing them
-   walks a throwaway [Grid.t] whose arrays reach hundreds of MB at the
-   production per-node point count — fine once per study, ruinous when
-   the autotuner re-prices the step model for every split candidate. So
-   both throughput views share one memo table. *)
-let rate_cache : (Hwsim.Node.t * int, float * float) Hashtbl.t =
-  Hashtbl.create 8
+(* Grid-point updates per second of one device running the RHS kernel
+   under [policy], priced on the square block of side
+   [max 9 (int_of_float (sqrt points))]. *)
+let device_rate policy (device : Hwsim.Device.t) ~points =
+  let side = max 9 (int_of_float (sqrt (float_of_int points))) in
+  let n = side * side in
+  let eff = Prog.Policy.efficiency policy device in
+  float_of_int n /. Hwsim.Roofline.time ~eff device (Elastic.work ~points:n)
 
-let node_rates (node : Hwsim.Node.t) ~points =
-  match Hashtbl.find_opt rate_cache (node, points) with
-  | Some r -> r
-  | None ->
-      let g =
-        Grid.create
-          ~nx:(max 9 (int_of_float (sqrt (float_of_int points))))
-          ~ny:(max 9 (int_of_float (sqrt (float_of_int points))))
-          ~h:100.0
-      in
-      let w = Elastic.work g in
-      let per_gpu =
-        match node.Hwsim.Node.gpu with
-        | Some gpu ->
-            let eff = Prog.Policy.efficiency Prog.Policy.Cuda gpu in
-            let t = Hwsim.Roofline.time ~eff gpu w in
-            float_of_int (g.Grid.nx * g.Grid.ny) /. t
-        | None -> 0.0
-      in
-      let cpu_eff =
-        Prog.Policy.efficiency
-          (Prog.Policy.Openmp node.Hwsim.Node.cpu.Hwsim.Device.lanes)
-          node.Hwsim.Node.cpu
-      in
-      let t_cpu = Hwsim.Roofline.time ~eff:cpu_eff node.Hwsim.Node.cpu w in
-      let per_cpu = float_of_int (g.Grid.nx * g.Grid.ny) /. t_cpu in
-      let node_rate =
-        if node.Hwsim.Node.gpus > 0 then
-          float_of_int node.Hwsim.Node.gpus *. per_gpu
-        else float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu
-      in
-      let cpu_rate = float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu in
-      let r = (node_rate, cpu_rate) in
-      Hashtbl.replace rate_cache (node, points) r;
-      r
+(** Grid-point updates per second of the node's host sockets alone —
+    the CPU side of a heterogeneous work split. On a CPU-only node this
+    equals {!node_throughput}. *)
+let node_cpu_throughput (node : Hwsim.Node.t) ~points =
+  let cpu = node.Hwsim.Node.cpu in
+  float_of_int node.Hwsim.Node.cpu_sockets
+  *. device_rate (Prog.Policy.Openmp cpu.Hwsim.Device.lanes) cpu ~points
 
 (** Grid-point updates per second per node for the full solver on a
     machine, used for the Sierra-vs-Cori throughput comparison. A Sierra
     node runs 4 GPU-resident solvers; a Cori node runs the KNL OpenMP
     code. *)
 let node_throughput (node : Hwsim.Node.t) ~points =
-  fst (node_rates node ~points)
-
-(** Grid-point updates per second of the node's host sockets alone —
-    the CPU side of a heterogeneous work split. On a CPU-only node this
-    equals {!node_throughput}. *)
-let node_cpu_throughput (node : Hwsim.Node.t) ~points =
-  snd (node_rates node ~points)
+  if node.Hwsim.Node.gpus > 0 then
+    match node.Hwsim.Node.gpu with
+    | Some gpu ->
+        float_of_int node.Hwsim.Node.gpus
+        *. device_rate Prog.Policy.Cuda gpu ~points
+    | None -> 0.0
+  else node_cpu_throughput node ~points
 
 (* --- the production campaign model (Sec 4.9) --- *)
 

@@ -25,20 +25,24 @@ val variant_name : variant -> string
 val variant_policy : variant -> Prog.Policy.t
 val variant_device : variant -> Hwsim.Device.t
 
-val variant_time_per_step : ?fused:bool -> Grid.t -> variant -> float
-(** Simulated seconds/step of the RHS kernel; [fused] merges the stress
-    and divergence sweeps into one launch (the kernel-merging
-    optimization). *)
+val variant_time_per_step : ?fused:bool -> points:int -> variant -> float
+(** Simulated seconds/step of the RHS kernel over [points] grid points
+    (an [nx * ny] grid prices as [~points:(nx * ny)]); [fused] merges
+    the stress and divergence sweeps into one launch (the
+    kernel-merging optimization). *)
 
 val node_throughput : Hwsim.Node.t -> points:int -> float
 (** Grid-point updates per second per node (GPU-resident on GPU nodes).
-    Memoized per (node, points) — pricing walks a throwaway grid whose
-    arrays are large at production point counts. *)
+    Priced in closed form on the square block of side
+    [max 9 (int_of_float (sqrt (float_of_int points)))], i.e. on
+    [side * side] points: counts that round to the same side share a
+    rate, and anything below 81 prices as 81. *)
 
 val node_cpu_throughput : Hwsim.Node.t -> points:int -> float
 (** Grid-point updates per second of the node's host sockets alone —
     the CPU side of a heterogeneous work split ({!Hwsim.Split}). Equals
-    {!node_throughput} on CPU-only nodes. Memoized alongside it. *)
+    {!node_throughput} on CPU-only nodes. Same square-block rounding
+    as {!node_throughput}. *)
 
 type step_model = {
   point_s : float;  (** RHS update of all per-node points, seconds *)

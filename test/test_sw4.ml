@@ -162,8 +162,7 @@ let test_hayward_basin_amplification () =
 
 let test_variant_ordering () =
   (* Sec 4.9: shared-memory ~2x naive; RAJA ~30% slower than CUDA *)
-  let g = Sw4.Grid.create ~nx:512 ~ny:512 ~h:100.0 in
-  let t v = Sw4.Scenario.variant_time_per_step g v in
+  let t v = Sw4.Scenario.variant_time_per_step ~points:(512 * 512) v in
   let t_naive = t Sw4.Scenario.Naive_cuda in
   let t_shared = t Sw4.Scenario.Shared_cuda in
   let t_raja = t Sw4.Scenario.Raja in
@@ -176,10 +175,10 @@ let test_variant_ordering () =
 
 let test_fused_kernel_faster_small_grid () =
   (* kernel merging pays off when launch overhead matters *)
-  let g = Sw4.Grid.create ~nx:32 ~ny:32 ~h:100.0 in
-  let t_split = Sw4.Scenario.variant_time_per_step g Sw4.Scenario.Naive_cuda in
+  let points = 32 * 32 in
+  let t_split = Sw4.Scenario.variant_time_per_step ~points Sw4.Scenario.Naive_cuda in
   let t_fused =
-    Sw4.Scenario.variant_time_per_step ~fused:true g Sw4.Scenario.Naive_cuda
+    Sw4.Scenario.variant_time_per_step ~fused:true ~points Sw4.Scenario.Naive_cuda
   in
   Alcotest.(check bool) "fused faster" true (t_fused < t_split)
 
@@ -193,6 +192,114 @@ let test_sierra_vs_cori_throughput () =
     (Fmt.str "ratio %.1f in 8-20x band" ratio)
     true
     (ratio > 8.0 && ratio < 20.0)
+
+(* Exact bits of the closed-form SW4 rates and variant times. Captured
+   when pricing still walked a throwaway [Grid.t]; the count-based
+   pricing must reproduce them bit for bit. Columns: node, points,
+   node_throughput, node_cpu_throughput. *)
+let throughput_pins =
+  Hwsim.Node.
+    [
+      (witherspoon, 1, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (witherspoon, 80, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (witherspoon, 81, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (witherspoon, 5_000_000, 0x42141f331ce2afedL, 0x41d7bbccda7e4dc4L);
+      (witherspoon, 4_000_000, 0x42140bcd11e1faf1L, 0x41d7bad537ed6c3dL);
+      (witherspoon, 16_000_000, 0x42145553fea1ef97L, 0x41d7be767b96e185L);
+      (cori_ii, 1, 0x41633d130deefb6eL, 0x41633d130deefb6eL);
+      (cori_ii, 80, 0x41633d130deefb6eL, 0x41633d130deefb6eL);
+      (cori_ii, 81, 0x41633d130deefb6eL, 0x41633d130deefb6eL);
+      (cori_ii, 5_000_000, 0x41e3b4f3d40b3a60L, 0x41e3b4f3d40b3a60L);
+      (cori_ii, 4_000_000, 0x41e3af9f2f44d596L, 0x41e3af9f2f44d596L);
+      (cori_ii, 16_000_000, 0x41e3c3acc7e4fef1L, 0x41e3c3acc7e4fef1L);
+      (sierra.node, 1, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (sierra.node, 80, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (sierra.node, 81, 0x41760c2846dcd0e7L, 0x4182d55444ba90faL);
+      (sierra.node, 5_000_000, 0x42141f331ce2afedL, 0x41d7bbccda7e4dc4L);
+      (sierra.node, 4_000_000, 0x42140bcd11e1faf1L, 0x41d7bad537ed6c3dL);
+      (sierra.node, 16_000_000, 0x42145553fea1ef97L, 0x41d7be767b96e185L);
+      (frontier.node, 1, 0x41834d576b529f5dL, 0x417307628ae3366fL);
+      (frontier.node, 80, 0x41834d576b529f5dL, 0x417307628ae3366fL);
+      (frontier.node, 81, 0x41834d576b529f5dL, 0x417307628ae3366fL);
+      (frontier.node, 5_000_000, 0x4232044043733dd4L, 0x41d44367a91fb65bL);
+      (frontier.node, 4_000_000, 0x4231e0d7fc2a5b83L, 0x41d441fead88e62eL);
+      (frontier.node, 16_000_000, 0x4232688a9745317aL, 0x41d44749b4c3acc7L);
+      (grace_hopper.node, 1, 0x415ee304d415023aL, 0x417331e0f783474bL);
+      (grace_hopper.node, 80, 0x415ee304d415023aL, 0x417331e0f783474bL);
+      (grace_hopper.node, 81, 0x415ee304d415023aL, 0x417331e0f783474bL);
+      (grace_hopper.node, 5_000_000, 0x4212442948f5ca87L, 0x41e8ac370cee2c61L);
+      (grace_hopper.node, 4_000_000, 0x421216c29cc0aacdL, 0x41e8a8091b8ef9acL);
+      (grace_hopper.node, 16_000_000, 0x4212c5c6a0fdaeedL, 0x41e8b7bdb163e793L);
+    ]
+
+(* points, variant, unfused and fused seconds per step *)
+let variant_pins =
+  Sw4.Scenario.
+    [
+      (32 * 32, Naive_cuda, 0x3eedc06ee28bd71dL, 0x3ede24ac6bd94e83L);
+      (32 * 32, Shared_cuda, 0x3eedbded58b6b421L, 0x3ede1fa9582f088aL);
+      (32 * 32, Raja, 0x3ef350c21c98a55aL, 0x3ee38bfdbf2f2616L);
+      (32 * 32, Cpu_openmp, 0x3ed62abf20c21ccbL, 0x3ecb8e86a0ce4c08L);
+      (48 * 48, Naive_cuda, 0x3eee3dbbce2cac5cL, 0x3edf1f46431af901L);
+      (48 * 48, Shared_cuda, 0x3eee3818580d1da5L, 0x3edf13ff56dbdb93L);
+      (48 * 48, Raja, 0x3ef39acca7d4c645L, 0x3ee42012d5a767edL);
+      (48 * 48, Cpu_openmp, 0x3edce77880d157d8L, 0x3ed483fcb0766112L);
+      (512 * 512, Naive_cuda, 0x3f10333754d6b8b2L, 0x3f0cbae87e85a56dL);
+      (512 * 512, Shared_cuda, 0x3f0fc60c3464b25bL, 0x3f0c1a86093ce664L);
+      (512 * 512, Raja, 0x3f13944a4420b834L, 0x3f11319974e073a0L);
+      (512 * 512, Cpu_openmp, 0x3f35d239deb394adL, 0x3f35b0abef7228d2L);
+    ]
+
+let test_pricing_bits_pinned () =
+  let bits = Alcotest.testable (Fmt.fmt "%#Lx") Int64.equal in
+  List.iter
+    (fun ((node : Hwsim.Node.t), points, total, cpu) ->
+      let label what = Fmt.str "%s %s @ %d points" node.Hwsim.Node.name what points in
+      Alcotest.check bits (label "node_throughput") total
+        (Int64.bits_of_float (Sw4.Scenario.node_throughput node ~points));
+      Alcotest.check bits (label "node_cpu_throughput") cpu
+        (Int64.bits_of_float (Sw4.Scenario.node_cpu_throughput node ~points)))
+    throughput_pins;
+  List.iter
+    (fun (points, v, split, fused) ->
+      let label what =
+        Fmt.str "%s %s @ %d points" (Sw4.Scenario.variant_name v) what points
+      in
+      Alcotest.check bits (label "split") split
+        (Int64.bits_of_float (Sw4.Scenario.variant_time_per_step ~points v));
+      Alcotest.check bits (label "fused") fused
+        (Int64.bits_of_float
+           (Sw4.Scenario.variant_time_per_step ~fused:true ~points v)))
+    variant_pins
+
+(* words allocated by [f ()], minor and major, not counting promotions twice *)
+let allocated_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. before
+
+let test_pricing_cost_bounded () =
+  (* pricing allocates nothing in proportion to the simulated block: a
+     cold 16M-point rate and the 26B-point campaign on a single node
+     (16M points per priced block) stay within a small fixed budget *)
+  let budget = 10_000.0 in
+  let rate =
+    allocated_words (fun () ->
+        Sw4.Scenario.node_throughput Hwsim.Node.witherspoon ~points:15_999_999)
+  in
+  Alcotest.(check bool) (Fmt.str "node_throughput: %.0f words" rate) true
+    (rate <= budget);
+  let step =
+    allocated_words (fun () ->
+        Sw4.Scenario.production_step_model Hwsim.Node.sierra ~nodes:1
+          ~grid_points:26.0e9)
+  in
+  Alcotest.(check bool) (Fmt.str "production_step_model: %.0f words" step) true
+    (step <= budget)
 
 (* --- 3D solver --- *)
 
@@ -448,6 +555,8 @@ let () =
           Alcotest.test_case "variant ordering" `Quick test_variant_ordering;
           Alcotest.test_case "fused kernels" `Quick test_fused_kernel_faster_small_grid;
           Alcotest.test_case "sierra vs cori" `Quick test_sierra_vs_cori_throughput;
+          Alcotest.test_case "pricing bits pinned" `Quick test_pricing_bits_pinned;
+          Alcotest.test_case "pricing cost bounded" `Quick test_pricing_cost_bounded;
           Alcotest.test_case "production parity" `Quick test_production_run_parity;
           Alcotest.test_case "overlap step model" `Quick test_overlap_step_model;
           Alcotest.test_case "split default bit-identical" `Quick
