@@ -666,6 +666,12 @@ let alloc_smoke () =
       ignore (Lda.Vem.e_step_doc lm elogb corpus.Lda.Corpus.docs.(0) stats));
   measure "lda/e-step-docs-par" ~budget:par_budget (fun () ->
       ignore (Lda.Vem.e_step_docs lm elogb corpus.Lda.Corpus.docs stats));
+  (* MLP backprop: one example through [|12; 16; 4|], as in bench_mlp *)
+  let mlp = Dlearn.Mlp.create ~rng:(Icoe_util.Rng.create 7) [| 12; 16; 4 |] in
+  let mx = Array.init 12 (fun i -> float_of_int i /. 12.0) in
+  measure "dlearn/mlp-backward" ~budget:seq_budget (fun () ->
+      ignore (Dlearn.Mlp.backward mlp mx ~label:1);
+      Dlearn.Mlp.zero_grads mlp);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -1,18 +1,15 @@
 (** Dense multi-layer perceptron with manual backprop — the
     neural-network substrate for the distributed-training studies and the
     Table 3 ensemble combiners. Tanh hidden layers, softmax cross-entropy
-    output, SGD with optional momentum. *)
+    output, SGD with optional momentum.
 
-type layer = {
-  w : float array array;  (** out x in *)
-  b : float array;
-  gw : float array array;  (** accumulated gradients *)
-  gb : float array;
-  mw : float array array;  (** momentum buffers *)
-  mb : float array;
-}
+    A [t] owns its activation and delta scratch, sized once by {!create}:
+    per example, {!backward} allocates only its boxed loss, and
+    {!predict} nothing. Every call, prediction included, writes that
+    scratch, so a [t] must not be shared across domains; give each
+    domain its own {!clone}. *)
 
-type t = { sizes : int array; layers : layer array }
+type t
 
 val create : rng:Icoe_util.Rng.t -> int array -> t
 (** [create ~rng [|in; hidden...; out|]] with He-scaled init. *)
@@ -20,17 +17,21 @@ val create : rng:Icoe_util.Rng.t -> int array -> t
 val num_params : t -> int
 
 val get_params : t -> float array
-(** Flattened parameters (layer-major, weights then biases). *)
+(** Flattened parameters (layer-major, weight rows then biases). *)
 
 val set_params : t -> float array -> unit
 
-val softmax : float array -> float array
+val grads : t -> float array
+(** Accumulated gradients, flattened in {!get_params} order. *)
 
-val forward_full : t -> float array -> float array array
-(** All layer activations (index 0 is the input, last is pre-softmax). *)
+val copy_grads : src:t -> dst:t -> unit
+(** Overwrite [dst]'s accumulated gradients with [src]'s (same sizes). *)
 
 val predict_proba : t -> float array -> float array
+(** Class probabilities for one input (a fresh array). *)
+
 val predict : t -> float array -> int
+(** Index of the most probable class. *)
 
 val zero_grads : t -> unit
 
@@ -49,3 +50,5 @@ val accuracy : t -> float array array -> int array -> float
 val eval_loss : t -> float array array -> int array -> float
 
 val clone : t -> t
+(** Copy of the weights and biases; gradients and momentum start at
+    zero. *)

@@ -32,16 +32,10 @@ let test_gradient_check () =
   let label = 1 in
   Mlp.zero_grads m;
   ignore (Mlp.backward m x ~label);
-  let analytic = ref [] in
-  Array.iter
-    (fun l ->
-      Array.iter (Array.iter (fun g -> analytic := g :: !analytic)) l.Mlp.gw;
-      Array.iter (fun g -> analytic := g :: !analytic) l.Mlp.gb)
-    m.Mlp.layers;
-  let analytic = Array.of_list (List.rev !analytic) in
+  let analytic = Mlp.grads m in
   Mlp.zero_grads m;
-  (* numeric gradient via parameter perturbation, same flattening order as
-     the gradient collection above (w rows then b per layer) *)
+  (* numeric gradient via parameter perturbation; [grads] and
+     [get_params] share one flattening order *)
   let loss_at params =
     let m2 = Mlp.create ~rng:(Icoe_util.Rng.create 1) [| 2; 3; 2 |] in
     Mlp.set_params m2 params;
@@ -49,8 +43,9 @@ let test_gradient_check () =
     -.log (max 1e-12 p.(label))
   in
   let p0 = Mlp.get_params m in
+  Alcotest.(check int) "one gradient per parameter" (Array.length p0)
+    (Array.length analytic);
   let eps = 1e-6 in
-  (* note: get_params flattens in the same layer-major (w then b) order *)
   Array.iteri
     (fun k _ ->
       let pp = Array.copy p0 in
@@ -63,6 +58,32 @@ let test_gradient_check () =
         true
         (Float.abs (analytic.(k) -. numeric) < 1e-4))
     p0
+
+let test_clone_and_copy_grads () =
+  let r = rng () in
+  let m = Mlp.create ~rng:r [| 4; 6; 3 |] in
+  let x = [| 0.2; -1.0; 0.7; 0.1 |] in
+  ignore (Mlp.train_batch ~momentum:0.9 m ~lr:0.1 [| x |] [| 2 |]);
+  ignore (Mlp.backward m x ~label:0);
+  let c = Mlp.clone m in
+  Alcotest.(check (array (float 0.0))) "same parameters" (Mlp.get_params m)
+    (Mlp.get_params c);
+  Alcotest.(check bool) "clone starts with zero gradients" true
+    (Array.for_all (fun g -> g = 0.0) (Mlp.grads c));
+  Mlp.copy_grads ~src:m ~dst:c;
+  Alcotest.(check (array (float 0.0))) "gradients transplanted" (Mlp.grads m)
+    (Mlp.grads c);
+  (* momentum is not cloned: a momentum step on the clone equals a
+     plain step, and differs from the original's momentum step *)
+  let plain = Mlp.clone m in
+  Mlp.copy_grads ~src:m ~dst:plain;
+  Mlp.sgd_step plain ~lr:0.1 ~batch:1;
+  Mlp.sgd_step c ~momentum:0.9 ~lr:0.1 ~batch:1;
+  Mlp.sgd_step m ~momentum:0.9 ~lr:0.1 ~batch:1;
+  Alcotest.(check (array (float 0.0))) "clone steps without momentum"
+    (Mlp.get_params plain) (Mlp.get_params c);
+  Alcotest.(check bool) "original keeps its momentum" false
+    (Mlp.get_params m = Mlp.get_params c)
 
 let test_learns_separable_task () =
   let r = rng () in
@@ -235,43 +256,6 @@ let test_asgd_staleness_hurts () =
     true
     (stale.Distributed.final_loss >= fresh.Distributed.final_loss -. 0.02)
 
-(* --- model parallel (real execution) --- *)
-
-let test_model_parallel_identical () =
-  (* the sharded network must compute bit-identical probabilities *)
-  let r = rng () in
-  let m = Mlp.create ~rng:r [| 10; 24; 5 |] in
-  let x = Array.init 10 (fun i -> sin (float_of_int i)) in
-  let reference = Mlp.predict_proba m x in
-  List.iter
-    (fun shards ->
-      let mp = Modelparallel.create ~shards m in
-      let p = Modelparallel.predict_proba mp x in
-      Alcotest.(check bool)
-        (Fmt.str "%d shards identical" shards)
-        true
-        (Icoe_util.Stats.max_abs_diff p reference < 1e-15))
-    [ 1; 2; 3; 4 ];
-  (* communication charged for multi-shard runs *)
-  let mp = Modelparallel.create ~shards:4 m in
-  ignore (Modelparallel.predict_proba mp x);
-  Alcotest.(check bool) "allgather charged" true
-    (Hwsim.Clock.total mp.Modelparallel.clock > 0.0)
-
-let test_model_parallel_scaling_shape () =
-  (* real parameter counts: speedup grows with shards but sub-linearly
-     (all-gather cost), echoing Fig 3's strong-scaling curvature *)
-  let r = rng () in
-  (* activation-heavy configuration (LBANN's semantic-segmentation regime:
-     large spatial activations, hence the large batch here) *)
-  let big = Mlp.create ~rng:r [| 512; 1024; 1024; 128 |] in
-  let s2 = Modelparallel.strong_scaling ~link:Hwsim.Link.nvlink2 big ~batch:512 ~shards:2 in
-  let s4 = Modelparallel.strong_scaling ~link:Hwsim.Link.nvlink2 big ~batch:512 ~shards:4 in
-  let s8 = Modelparallel.strong_scaling ~link:Hwsim.Link.nvlink2 big ~batch:512 ~shards:8 in
-  Alcotest.(check bool) (Fmt.str "s2=%.2f in (1,2]" s2) true (s2 > 1.0 && s2 <= 2.0);
-  Alcotest.(check bool) "monotone" true (s4 > s2 && s8 > s4);
-  Alcotest.(check bool) (Fmt.str "s8=%.2f sublinear" s8) true (s8 < 8.0)
-
 let test_easgd_converges () =
   let run =
     Distributed.easgd ~rng:(rng ()) ~learners:8 ~rounds:80 ~k:8 ~batch:16
@@ -367,6 +351,192 @@ let prop_mlp_probs_normalized =
       Float.abs (Icoe_util.Stats.sum p -. 1.0) < 1e-9
       && Array.for_all (fun v -> v >= 0.0) p)
 
+(* Reference oracle: the boxed [float array array] formulation that the
+   flat-buffer [Mlp] replaced, kept verbatim so the property below can
+   demand bit-identical results from the rewrite. *)
+module Boxed = struct
+  type layer = {
+    w : float array array;
+    b : float array;
+    gw : float array array;
+    gb : float array;
+    mw : float array array;
+    mb : float array;
+  }
+
+  type t = { layers : layer array }
+
+  let create ~(rng : Icoe_util.Rng.t) sizes =
+    let layers =
+      Array.init (Array.length sizes - 1) (fun l ->
+          let nin = sizes.(l) and nout = sizes.(l + 1) in
+          let scale = sqrt (2.0 /. float_of_int nin) in
+          {
+            w =
+              Array.init nout (fun _ ->
+                  Array.init nin (fun _ -> scale *. Icoe_util.Rng.gaussian rng));
+            b = Array.make nout 0.0;
+            gw = Array.make_matrix nout nin 0.0;
+            gb = Array.make nout 0.0;
+            mw = Array.make_matrix nout nin 0.0;
+            mb = Array.make nout 0.0;
+          })
+    in
+    { layers }
+
+  let flatten t pick =
+    Array.concat
+      (List.concat_map
+         (fun l ->
+           let w, b = pick l in
+           Array.to_list w @ [ b ])
+         (Array.to_list t.layers))
+
+  let get_params t = flatten t (fun l -> (l.w, l.b))
+  let grads t = flatten t (fun l -> (l.gw, l.gb))
+
+  let softmax z =
+    let mx = Array.fold_left max neg_infinity z in
+    let e = Array.map (fun v -> exp (v -. mx)) z in
+    let s = Icoe_util.Stats.sum e in
+    Array.map (fun v -> v /. s) e
+
+  let forward_full t x =
+    let nl = Array.length t.layers in
+    let acts = Array.make (nl + 1) [||] in
+    acts.(0) <- x;
+    for l = 0 to nl - 1 do
+      let lay = t.layers.(l) in
+      let z =
+        Array.mapi
+          (fun o row ->
+            let s = ref lay.b.(o) in
+            Array.iteri (fun i v -> s := !s +. (v *. acts.(l).(i))) row;
+            !s)
+          lay.w
+      in
+      acts.(l + 1) <- (if l = nl - 1 then z else Array.map tanh z)
+    done;
+    acts
+
+  let predict_proba t x =
+    let acts = forward_full t x in
+    softmax acts.(Array.length t.layers)
+
+  let zero_grads t =
+    Array.iter
+      (fun l ->
+        Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) l.gw;
+        Array.fill l.gb 0 (Array.length l.gb) 0.0)
+      t.layers
+
+  let backward t x ~label =
+    let nl = Array.length t.layers in
+    let acts = forward_full t x in
+    let probs = softmax acts.(nl) in
+    let loss = -.log (max 1e-12 probs.(label)) in
+    let delta =
+      ref (Array.mapi (fun i p -> p -. (if i = label then 1.0 else 0.0)) probs)
+    in
+    for l = nl - 1 downto 0 do
+      let lay = t.layers.(l) in
+      let a_in = acts.(l) in
+      Array.iteri
+        (fun o d ->
+          lay.gb.(o) <- lay.gb.(o) +. d;
+          Array.iteri
+            (fun i ai -> lay.gw.(o).(i) <- lay.gw.(o).(i) +. (d *. ai))
+            a_in)
+        !delta;
+      if l > 0 then begin
+        let nin = Array.length a_in in
+        let nd = Array.make nin 0.0 in
+        Array.iteri
+          (fun o d ->
+            Array.iteri (fun i wv -> nd.(i) <- nd.(i) +. (d *. wv)) lay.w.(o))
+          !delta;
+        delta := Array.mapi (fun i v -> v *. (1.0 -. (a_in.(i) *. a_in.(i)))) nd
+      end
+    done;
+    loss
+
+  let sgd_step ?(momentum = 0.0) ?(weight_decay = 0.0) t ~lr ~batch =
+    let scale = 1.0 /. float_of_int (max 1 batch) in
+    Array.iter
+      (fun l ->
+        Array.iteri
+          (fun o row ->
+            Array.iteri
+              (fun i _ ->
+                let g = (l.gw.(o).(i) *. scale) +. (weight_decay *. row.(i)) in
+                l.mw.(o).(i) <- (momentum *. l.mw.(o).(i)) -. (lr *. g);
+                row.(i) <- row.(i) +. l.mw.(o).(i))
+              row;
+            let g = l.gb.(o) *. scale in
+            l.mb.(o) <- (momentum *. l.mb.(o)) -. (lr *. g);
+            l.b.(o) <- l.b.(o) +. l.mb.(o))
+          l.w)
+      t.layers;
+    zero_grads t
+
+  let train_batch ?(momentum = 0.0) t ~lr xs labels =
+    let total = ref 0.0 in
+    Array.iteri (fun k x -> total := !total +. backward t x ~label:labels.(k)) xs;
+    sgd_step ~momentum t ~lr ~batch:(Array.length xs);
+    !total /. float_of_int (Array.length xs)
+end
+
+let prop_mlp_matches_boxed =
+  QCheck.Test.make ~name:"flat Mlp bit-identical to the boxed reference"
+    ~count:60
+    QCheck.(
+      quad (int_range 1 1_000_000) (int_range 0 2) bool bool)
+    (fun (seed, hidden, use_momentum, use_decay) ->
+      let r = Icoe_util.Rng.create seed in
+      let dim () = 1 + Icoe_util.Rng.int r 9 in
+      let sizes =
+        Array.concat
+          [ [| dim () |]; Array.init hidden (fun _ -> dim ()); [| 2 + Icoe_util.Rng.int r 5 |] ]
+      in
+      let nin = sizes.(0) and nout = sizes.(Array.length sizes - 1) in
+      let momentum = if use_momentum then 0.9 else 0.0 in
+      let weight_decay = if use_decay then 1e-3 else 0.0 in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Boxed.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let bits = Array.map Int64.bits_of_float in
+      let same a b = bits a = bits b in
+      let ok = ref (same (Mlp.get_params m) (Boxed.get_params o)) in
+      let sample () =
+        (Array.init nin (fun _ -> Icoe_util.Rng.uniform r (-3.0) 3.0),
+         Icoe_util.Rng.int r nout)
+      in
+      for step = 1 to 2 + Icoe_util.Rng.int r 4 do
+        let batch = Array.init (1 + Icoe_util.Rng.int r 6) (fun _ -> sample ()) in
+        let xs = Array.map fst batch and ls = Array.map snd batch in
+        if step mod 2 = 0 then
+          (* mini-batch entry point: mean loss, momentum only *)
+          ok :=
+            !ok
+            && Int64.bits_of_float (Mlp.train_batch ~momentum m ~lr:0.05 xs ls)
+               = Int64.bits_of_float (Boxed.train_batch ~momentum o ~lr:0.05 xs ls)
+        else begin
+          (* per-example backward, then an explicit step with decay *)
+          Array.iteri
+            (fun k x ->
+              ok :=
+                !ok
+                && Int64.bits_of_float (Mlp.backward m x ~label:ls.(k))
+                   = Int64.bits_of_float (Boxed.backward o x ~label:ls.(k)))
+            xs;
+          ok := !ok && same (Mlp.grads m) (Boxed.grads o);
+          Mlp.sgd_step ~momentum ~weight_decay m ~lr:0.05 ~batch:(Array.length xs);
+          Boxed.sgd_step ~momentum ~weight_decay o ~lr:0.05 ~batch:(Array.length xs)
+        end;
+        ok := !ok && same (Mlp.get_params m) (Boxed.get_params o)
+      done;
+      let x, _ = sample () in
+      !ok && same (Mlp.predict_proba m x) (Boxed.predict_proba o x))
+
 let () =
   Alcotest.run "dlearn"
     [
@@ -376,7 +546,9 @@ let () =
           Alcotest.test_case "param roundtrip" `Quick test_param_roundtrip;
           Alcotest.test_case "gradient check" `Quick test_gradient_check;
           Alcotest.test_case "learns" `Quick test_learns_separable_task;
+          Alcotest.test_case "clone and copy_grads" `Quick test_clone_and_copy_grads;
           QCheck_alcotest.to_alcotest prop_mlp_probs_normalized;
+          QCheck_alcotest.to_alcotest prop_mlp_matches_boxed;
         ] );
       ( "distributed",
         [
@@ -389,11 +561,6 @@ let () =
           Alcotest.test_case "split co-executes" `Quick
             test_split_partial_co_executes;
           Alcotest.test_case "staleness hurts" `Slow test_asgd_staleness_hurts;
-        ] );
-      ( "modelparallel",
-        [
-          Alcotest.test_case "identical results" `Quick test_model_parallel_identical;
-          Alcotest.test_case "scaling shape" `Quick test_model_parallel_scaling_shape;
           Alcotest.test_case "easgd" `Slow test_easgd_converges;
         ] );
       ( "videonet",
