@@ -77,7 +77,7 @@ let activities =
       science_area = "Design Optimization";
       base_language = "C++";
       approaches = [ "CUDA"; "Job scheduler simulator" ];
-      modules = [ "Opt.Topopt"; "Opt.Scheduler" ];
+      modules = [ "Opt.Topopt"; "Opt.Scheduler"; "Svc.Gang" ];
     };
   ]
 

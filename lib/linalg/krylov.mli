@@ -24,7 +24,9 @@ val cg :
   result
 (** Conjugate gradients on an SPD operator: [cg ~op b x0]. Bails out
     (converged = false, x finite) if the iteration produces non-finite
-    values or meets a zero/negative-curvature direction. *)
+    values or meets a zero/negative-curvature direction. [cg] reads the
+    array [op] returns only until its next call to [op], so [op] may
+    return the same buffer every time. *)
 
 val pcg :
   ?tol:float ->

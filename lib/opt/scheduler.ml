@@ -59,178 +59,44 @@ let poisson_workload ~(rng : Icoe_util.Rng.t) ~rate ~horizon () =
     service demand. *)
 let capacity ~gpus ~mean_duration = float_of_int gpus /. mean_duration
 
-(* event-driven simulation: running jobs as (finish_time, job) *)
+(* The event loop is the shared gang core: EASY backfill is its
+   Easy_backfill, and plain SJF is its Sjf_quota 1.0 (long jobs never hold
+   more than the busy GPUs, so a full quota never binds). Jobs wider than
+   the pool can never start; they are left out and count as incomplete. *)
 let simulate_schedule ?(gpus = 16) ?(check = false) policy jobs =
-  let queue = ref [] in
-  let pending = ref (List.sort (fun a b -> Float.compare a.arrival b.arrival) jobs) in
-  let running = ref [] in
-  let free = ref gpus in
-  let t = ref 0.0 in
+  let jobs = Array.of_list (List.filter (fun j -> j.gpus <= gpus) jobs) in
+  let core =
+    match policy with
+    | Fcfs -> Icoe_svc.Gang.Fcfs
+    | Fcfs_backfill -> Icoe_svc.Gang.Easy_backfill
+    | Sjf -> Icoe_svc.Gang.Sjf_quota 1.0
+    | Sjf_quota q -> Icoe_svc.Gang.Sjf_quota q
+  in
   let busy_area = ref 0.0 in
   let waits = ref [] in
   let schedule = ref [] in
   let completed = ref 0 in
-  let median_duration =
-    match jobs with
-    | [] -> 1.0
-    | _ ->
-        Icoe_util.Stats.median (Array.of_list (List.map (fun j -> j.duration) jobs))
+  let on_start i t =
+    let j = jobs.(i) in
+    waits := (t -. j.arrival) :: !waits;
+    busy_area := !busy_area +. (float_of_int j.gpus *. j.duration);
+    schedule := (j.id, t, t +. j.duration) :: !schedule;
+    j.duration
   in
-  let is_long j = j.duration > median_duration in
-  let long_in_use () =
-    List.fold_left (fun a (_, j) -> if is_long j then a + j.gpus else a) 0 !running
+  let makespan =
+    Icoe_svc.Gang.run ~check ~on_start
+      ~on_finish:(fun _ _ -> incr completed)
+      ~slots:gpus core
+      (Array.map
+         (fun j ->
+           { Icoe_svc.Gang.arrival = j.arrival; width = j.gpus; estimate = j.duration })
+         jobs)
   in
-  (* pick the next job to start under the policy, if any fits *)
-  let pick () =
-    let shorts_waiting () = List.exists (fun j -> not (is_long j)) !queue in
-    let fits j =
-      j.gpus <= !free
-      && (match policy with
-         | Sjf_quota q ->
-             (* the quota reserves capacity for short jobs, but only binds
-                while shorts are actually waiting, and never blocks the
-                only long job (guaranteed progress) *)
-             (not (is_long j))
-             || (not (shorts_waiting ()))
-             || long_in_use () = 0
-             || float_of_int (long_in_use () + j.gpus) <= q *. float_of_int gpus
-         | Fcfs | Fcfs_backfill | Sjf -> true)
-    in
-    (* EASY backfill: when the head doesn't fit, find its shadow time
-       (earliest moment enough GPUs will be free) and let later jobs jump
-       ahead only if they finish by then or fit in the capacity still
-       spare at the shadow time. Finish times are deduplicated before the
-       walk: [freed] already sums every job finishing at [f], so a
-       duplicate entry would double-count simultaneous finishers and land
-       the shadow too early. *)
-    let shadow_scan ~free ~need running =
-      let finishes = List.sort_uniq Float.compare (List.map fst running) in
-      let rec walk free = function
-        | _ when free >= need -> (!t, free)
-        | [] -> (infinity, free)
-        | f :: tl ->
-            let freed =
-              List.fold_left
-                (fun a (f', j) -> if Float.equal f' f then a + j.gpus else a)
-                0 running
-            in
-            if free + freed >= need then (f, free + freed)
-            else walk (free + freed) tl
-      in
-      walk free finishes
-    in
-    let easy_backfill head rest =
-      let shadow_t, free_at_shadow = shadow_scan ~free:!free ~need:head.gpus !running in
-      (* GPUs left over at the shadow time once the head has started:
-         a job may run past the shadow only on these *)
-      let spare = free_at_shadow - head.gpus in
-      let candidate =
-        List.find_opt
-          (fun j ->
-            j.gpus <= !free
-            && (!t +. j.duration <= shadow_t || j.gpus <= spare))
-          rest
-      in
-      (if check then
-         match candidate with
-         | None -> ()
-         | Some j ->
-             (* the invariant EASY promises the reserved head: starting
-                the backfilled job must not move the head's shadow *)
-             let running' = (!t +. j.duration, j) :: !running in
-             let shadow_t', _ =
-               shadow_scan ~free:(!free - j.gpus) ~need:head.gpus running'
-             in
-             if shadow_t' > shadow_t +. 1e-9 then
-               invalid_arg
-                 (Fmt.str
-                    "easy_backfill: job %d (%d gpus, %.3f s) delays the \
-                     reserved head %d: shadow %.6f -> %.6f"
-                    j.id j.gpus j.duration head.id shadow_t shadow_t'));
-      candidate
-    in
-    match policy with
-    | Fcfs -> (
-        (* strict order: only the head may start (head-of-line blocking) *)
-        match !queue with
-        | j :: rest when fits j ->
-            queue := rest;
-            Some j
-        | _ -> None)
-    | Fcfs_backfill -> (
-        match !queue with
-        | j :: rest when fits j ->
-            queue := rest;
-            Some j
-        | head :: rest -> (
-            match easy_backfill head rest with
-            | Some j ->
-                queue := List.filter (fun x -> x.id <> j.id) !queue;
-                Some j
-            | None -> None)
-        | [] -> None)
-    | Sjf | Sjf_quota _ ->
-        let sorted =
-          List.sort (fun a b -> Float.compare a.duration b.duration) !queue
-        in
-        (match List.find_opt fits sorted with
-        | None -> None
-        | Some j ->
-            queue := List.filter (fun x -> x.id <> j.id) !queue;
-            Some j)
-  in
-  let start_jobs () =
-    let continue = ref true in
-    while !continue do
-      match pick () with
-      | None -> continue := false
-      | Some j ->
-          free := !free - j.gpus;
-          waits := (!t -. j.arrival) :: !waits;
-          busy_area := !busy_area +. (float_of_int j.gpus *. j.duration);
-          schedule := (j.id, !t, !t +. j.duration) :: !schedule;
-          running := (!t +. j.duration, j) :: !running
-    done
-  in
-  let next_event () =
-    let arrival = match !pending with j :: _ -> Some j.arrival | [] -> None in
-    let finish =
-      match !running with
-      | [] -> None
-      | l -> Some (List.fold_left (fun a (f, _) -> min a f) infinity l)
-    in
-    match (arrival, finish) with
-    | None, None -> None
-    | Some a, None -> Some a
-    | None, Some f -> Some f
-    | Some a, Some f -> Some (min a f)
-  in
-  let rec loop () =
-    match next_event () with
-    | None -> ()
-    | Some te ->
-        t := te;
-        (* finishers *)
-        let done_, still = List.partition (fun (f, _) -> f <= !t +. 1e-12) !running in
-        running := still;
-        List.iter
-          (fun (_, j) ->
-            free := !free + j.gpus;
-            incr completed)
-          done_;
-        (* arrivals *)
-        let arrived, later = List.partition (fun j -> j.arrival <= !t +. 1e-12) !pending in
-        pending := later;
-        queue := !queue @ arrived;
-        start_jobs ();
-        loop ()
-  in
-  start_jobs ();
-  loop ();
+  (* reverse start order: the order mean_wait has always summed in *)
   let waits = Array.of_list !waits in
   ( {
-      makespan = !t;
-      utilization = !busy_area /. (float_of_int gpus *. max 1e-9 !t);
+      makespan;
+      utilization = !busy_area /. (float_of_int gpus *. max 1e-9 makespan);
       mean_wait = (if Array.length waits = 0 then 0.0 else Icoe_util.Stats.mean waits);
       max_wait = (if Array.length waits = 0 then 0.0 else snd (Icoe_util.Stats.min_max waits));
       completed = !completed;

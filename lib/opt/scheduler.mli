@@ -40,8 +40,9 @@ val capacity : gpus:int -> mean_duration:float -> float
 (** Mean processing capacity, jobs/s. *)
 
 val simulate : ?gpus:int -> ?check:bool -> policy -> job list -> metrics
-(** Event-driven simulation; jobs wider than the pool are reported as
-    incomplete. With [check] (default false), every EASY-backfill
+(** Event-driven simulation on the shared gang core
+    ({!Icoe_svc.Gang}); jobs wider than the pool never enter the queue
+    and are reported as incomplete. With [check] (default false), every EASY-backfill
     decision re-derives the blocked head's shadow time with the
     candidate hypothetically running and raises [Invalid_argument] if
     the backfill would delay the head's reservation. *)

@@ -39,33 +39,49 @@ let conductivity t k = rho_min +. ((1.0 -. rho_min) *. (t.rho.(k) ** t.penal))
     bottom edge — the "volume-to-point" benchmark geometry)? *)
 let is_sink t i j = j = 0 && abs (i - (t.nx / 2)) <= max 1 (t.nx / 8)
 
+(* SIMP conductivity of every cell: fixed for one state solve *)
+let conductivities t = Array.init (t.nx * t.ny) (conductivity t)
+
 (* matrix-free application of the density-weighted 5-point operator with
-   Dirichlet sink cells *)
-let apply t u y =
+   Dirichlet sink cells, over precomputed cell conductivities [kc]. Each
+   link uses the arithmetic-mean conductance (standard FE-style SIMP
+   coupling; harmonic means over-block void links and destabilize the
+   OC loop), accumulated left, right, down, up. *)
+let apply_kc t kc u y =
   let nx = t.nx and ny = t.ny in
   for j = 0 to ny - 1 do
     for i = 0 to nx - 1 do
       let k = idx t i j in
       if is_sink t i j then y.(k) <- u.(k) (* sink: identity row *)
       else begin
-        let kc = conductivity t k in
+        let kk = kc.(k) in
         let acc = ref 0.0 and diag = ref 0.0 in
-        let couple k2 =
-          (* arithmetic-mean link conductance (standard FE-style SIMP
-             coupling; harmonic means over-block void links and destabilize
-             the OC loop) *)
-          let kk = 0.5 *. (kc +. conductivity t k2) in
-          diag := !diag +. kk;
-          acc := !acc +. (kk *. u.(k2))
-        in
-        if i > 0 then couple (idx t (i - 1) j);
-        if i < nx - 1 then couple (idx t (i + 1) j);
-        if j > 0 then couple (idx t i (j - 1));
-        if j < ny - 1 then couple (idx t i (j + 1));
+        if i > 0 then begin
+          let l = 0.5 *. (kk +. kc.(k - 1)) in
+          diag := !diag +. l;
+          acc := !acc +. (l *. u.(k - 1))
+        end;
+        if i < nx - 1 then begin
+          let l = 0.5 *. (kk +. kc.(k + 1)) in
+          diag := !diag +. l;
+          acc := !acc +. (l *. u.(k + 1))
+        end;
+        if j > 0 then begin
+          let l = 0.5 *. (kk +. kc.(k - nx)) in
+          diag := !diag +. l;
+          acc := !acc +. (l *. u.(k - nx))
+        end;
+        if j < ny - 1 then begin
+          let l = 0.5 *. (kk +. kc.(k + nx)) in
+          diag := !diag +. l;
+          acc := !acc +. (l *. u.(k + nx))
+        end;
         y.(k) <- (!diag *. u.(k)) -. !acc
       end
     done
   done
+
+let apply t u y = apply_kc t (conductivities t) u y
 
 (* heat load: flux enters along the top edge and must funnel down to the
    small central sink — the classic geometry whose optima are funnel/tree
@@ -79,10 +95,12 @@ let load t =
 let solve_state ?(tol = 1e-8) t =
   let n = t.nx * t.ny in
   let b = load t in
+  let kc = conductivities t in
   let y = Array.make n 0.0 in
+  (* cg reads an operator result only until its next call *)
   let op u =
-    apply t u y;
-    Array.copy y
+    apply_kc t kc u y;
+    y
   in
   let r = Linalg.Krylov.cg ~tol ~max_iter:(8 * n) ~op b (Array.make n 0.0) in
   t.cg_iters_total <- t.cg_iters_total + r.Linalg.Krylov.iters;
@@ -101,7 +119,6 @@ let oc_update t u =
     for i = 0 to t.nx - 1 do
       let k = idx t i j in
       if not (is_sink t i j) then begin
-      let _kc = conductivity t k in
       let dk_drho =
         t.penal *. (1.0 -. rho_min) *. (t.rho.(k) ** (t.penal -. 1.0))
       in

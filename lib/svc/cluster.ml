@@ -1,11 +1,11 @@
-(* The cluster-level scheduler of the service simulation: the policies
-   of Opt.Scheduler (Sec 4.7) generalized from a 16-GPU pool to node
-   allocations on a machine model, plus a partition/gang policy. Service
-   times are not pre-drawn: each dispatched job is priced by its class's
+(* The cluster-level scheduler of the service simulation: the Sec 4.7
+   policies generalized from a 16-GPU pool to node allocations on a
+   machine model, plus a partition/gang policy, run by the Gang core.
+   Service times are not pre-drawn: each job is priced by its class's
    Hwsim.Sched/roofline cost model at the requested allocation size
    (memoized per (class, nodes) — the models are pure). *)
 
-type policy =
+type policy = Gang.policy =
   | Fcfs
   | Easy_backfill
   | Sjf_quota of float
@@ -53,7 +53,7 @@ let placeable nodes (j : Workload.job) = j.nodes <= nodes
 let simulate ?(check = false) ?topology ?(comm_fraction = 0.2) ~nodes
     ~(classes : Workload.job_class array) policy jobs =
   let submitted = List.length jobs in
-  let jobs = List.filter (placeable nodes) jobs in
+  let jobs = Array.of_list (List.filter (placeable nodes) jobs) in
   let price =
     let memo = Hashtbl.create 64 in
     fun (j : Workload.job) ->
@@ -68,36 +68,21 @@ let simulate ?(check = false) ?topology ?(comm_fraction = 0.2) ~nodes
           Hashtbl.add memo (j.Workload.klass, j.Workload.nodes) s;
           s
   in
-  (* service-time median over the submitted stream splits short from
-     long for the quota policy (the scheduler has exact estimates: the
-     cost model is the runtime) *)
-  let median_service =
-    match jobs with
-    | [] -> 1.0
-    | _ -> Icoe_util.Stats.median (Array.of_list (List.map price jobs))
+  (* the scheduler has exact runtime estimates: the cost model is the
+     runtime (before any placement penalty) *)
+  let gang =
+    Array.map
+      (fun (j : Workload.job) ->
+        { Gang.arrival = j.Workload.arrival; width = j.Workload.nodes; estimate = price j })
+      jobs
   in
-  let is_long j = price j > median_service in
-  (* partition policy geometry: jobs at or above an eighth of the
-     machine are "wide" and run in a reserved side of the pool; each
-     side is FCFS over its own queue *)
-  let wide_cut = max 2 (nodes / 8) in
-  let is_wide (j : Workload.job) = j.Workload.nodes >= wide_cut in
-  let queue = ref [] in
-  let pending =
-    ref
-      (List.sort
-         (fun (a : Workload.job) b -> Float.compare a.Workload.arrival b.Workload.arrival)
-         jobs)
-  in
-  let running = ref [] in
-  let free = ref nodes in
-  let t = ref 0.0 in
   (* lifecycle bookkeeping: concrete node ids (lowest-first placement)
      so the occupancy export can draw jobs onto stable per-node rows,
      plus queue-depth/free-node samples at every event time *)
   let source = "svc/" ^ policy_name policy in
-  let free_ids = ref (List.init nodes Fun.id) in
-  let live : (int, float * int list) Hashtbl.t = Hashtbl.create 64 in
+  let busy = Array.make nodes false in
+  let dispatched = Array.make (Array.length jobs) 0.0 in
+  let placed = Array.make (Array.length jobs) [] in
   let log = ref [] in
   let samples = ref [] in
   let emit_job ev ~t_s (j : Workload.job) fields =
@@ -112,234 +97,71 @@ let simulate ?(check = false) ?topology ?(comm_fraction = 0.2) ~nodes
            ]
           @ fields))
   in
-  let sample () =
-    let depth = List.length !queue in
-    samples := (!t, depth, !free) :: !samples;
+  let on_event t depth free =
+    samples := (t, depth, free) :: !samples;
     if Icoe_obs.Events.enabled () then
       Icoe_obs.Events.(
-        emit ~t_s:!t ~kind:"queue" ~source
-          [ ("depth", I depth); ("free_nodes", I !free) ])
+        emit ~t_s:t ~kind:"queue" ~source
+          [ ("depth", I depth); ("free_nodes", I free) ])
   in
   let busy_area = ref 0.0 in
   let waits = ref [] in
   let turnarounds = ref [] in
   let completed = ref 0 in
-  let long_in_use () =
-    List.fold_left
-      (fun a (_, j) -> if is_long j then a + j.Workload.nodes else a)
-      0 !running
-  in
-  let wide_in_use () =
-    List.fold_left
-      (fun a (_, j) -> if is_wide j then a + j.Workload.nodes else a)
-      0 !running
-  in
-  let shadow_scan ~free ~need running =
-    let finishes = List.sort_uniq Float.compare (List.map fst running) in
-    let rec walk free = function
-      | _ when free >= need -> (!t, free)
-      | [] -> (infinity, free)
-      | f :: tl ->
-          let freed =
-            List.fold_left
-              (fun a (f', j) ->
-                if Float.equal f' f then a + j.Workload.nodes else a)
-              0 running
+  let on_submit i = emit_job "submit" ~t_s:jobs.(i).Workload.arrival jobs.(i) [] in
+  let on_start i t =
+    let j = jobs.(i) in
+    (* the lowest free ids: find the highest one taken, then collect
+       downward so the list comes out ascending *)
+    let last = ref (-1) and found = ref 0 in
+    while !found < j.Workload.nodes do
+      incr last;
+      if not busy.(!last) then incr found
+    done;
+    let ids = ref [] in
+    for id = !last downto 0 do
+      if not busy.(id) then begin
+        busy.(id) <- true;
+        ids := id :: !ids
+      end
+    done;
+    let ids = !ids in
+    (* placement-aware pricing: a fragmented gang's communication
+       climbs higher switch levels than the contiguous-best one,
+       stretching the comm share of its service time. Without a
+       topology the model-priced service is charged unchanged. *)
+    let s = gang.(i).Gang.estimate in
+    let s =
+      match topology with
+      | None -> s
+      | Some topo ->
+          let pen =
+            Hwsim.Topology.placement_penalty topo ~nodes:j.Workload.nodes
+              ~level:(Hwsim.Topology.crossing_of_ids topo ids)
           in
-          if free + freed >= need then (f, free + freed) else walk (free + freed) tl
+          if pen = 1.0 then s
+          else s *. (1.0 +. (comm_fraction *. (pen -. 1.0)))
     in
-    walk free finishes
+    dispatched.(i) <- t;
+    placed.(i) <- ids;
+    emit_job "dispatch" ~t_s:t j
+      [ ("wait_s", F (t -. j.Workload.arrival)); ("service_s", F s) ];
+    waits := (t -. j.Workload.arrival) :: !waits;
+    busy_area := !busy_area +. (float_of_int j.Workload.nodes *. s);
+    s
   in
-  let pick () =
-    let shorts_waiting () = List.exists (fun j -> not (is_long j)) !queue in
-    let quota_fits q (j : Workload.job) =
-      j.Workload.nodes <= !free
-      && ((not (is_long j))
-         || (not (shorts_waiting ()))
-         || long_in_use () = 0
-         || float_of_int (long_in_use () + j.Workload.nodes)
-            <= q *. float_of_int nodes)
-    in
-    match policy with
-    | Fcfs -> (
-        match !queue with
-        | j :: rest when j.Workload.nodes <= !free ->
-            queue := rest;
-            Some j
-        | _ -> None)
-    | Easy_backfill -> (
-        match !queue with
-        | j :: rest when j.Workload.nodes <= !free ->
-            queue := rest;
-            Some j
-        | head :: rest -> (
-            let shadow_t, free_at_shadow =
-              shadow_scan ~free:!free ~need:head.Workload.nodes !running
-            in
-            let spare = free_at_shadow - head.Workload.nodes in
-            let candidate =
-              List.find_opt
-                (fun (j : Workload.job) ->
-                  j.Workload.nodes <= !free
-                  && (!t +. price j <= shadow_t || j.Workload.nodes <= spare))
-                rest
-            in
-            match candidate with
-            | Some j ->
-                (if check then
-                   let running' = (!t +. price j, j) :: !running in
-                   let shadow_t', _ =
-                     shadow_scan
-                       ~free:(!free - j.Workload.nodes)
-                       ~need:head.Workload.nodes running'
-                   in
-                   if shadow_t' > shadow_t +. 1e-9 then
-                     invalid_arg
-                       (Fmt.str
-                          "Cluster: backfilled job %d delays the head %d \
-                           (shadow %.6f -> %.6f)"
-                          j.Workload.id head.Workload.id shadow_t shadow_t'));
-                queue :=
-                  List.filter (fun (x : Workload.job) -> x.Workload.id <> j.Workload.id) !queue;
-                Some j
-            | None -> None)
-        | [] -> None)
-    | Sjf_quota q -> (
-        let sorted =
-          List.sort (fun a b -> Float.compare (price a) (price b)) !queue
-        in
-        match List.find_opt (quota_fits q) sorted with
-        | None -> None
-        | Some j ->
-            queue :=
-              List.filter (fun (x : Workload.job) -> x.Workload.id <> j.Workload.id) !queue;
-            Some j)
-    | Partition wide_frac ->
-        (* the wide side owns [wide_frac] of the machine; small jobs own
-           the rest. Each side is FCFS over its own sub-queue, so a
-           draining wide gang never blocks the stream of small jobs *)
-        let wide_nodes = int_of_float (wide_frac *. float_of_int nodes) in
-        let small_nodes = nodes - wide_nodes in
-        let fits_partition j =
-          let small_in_use = nodes - !free - wide_in_use () in
-          j.Workload.nodes <= !free
-          &&
-          if is_wide j then wide_in_use () + j.Workload.nodes <= wide_nodes
-          else small_in_use + j.Workload.nodes <= small_nodes
-        in
-        let rec first_fit seen = function
-          | [] -> None
-          | j :: rest ->
-              (* FCFS within each side: skip a job only if the *other*
-                 side's head is ahead of it *)
-              let side_blocked =
-                List.exists (fun s -> is_wide s = is_wide j) seen
-              in
-              if (not side_blocked) && fits_partition j then begin
-                queue :=
-                  List.filter (fun (x : Workload.job) -> x.Workload.id <> j.Workload.id) !queue;
-                Some j
-              end
-              else first_fit (j :: seen) rest
-        in
-        first_fit [] !queue
+  let on_finish i t =
+    let j = jobs.(i) in
+    List.iter (fun id -> busy.(id) <- false) placed.(i);
+    log := { job = j; dispatched = dispatched.(i); finished = t; placed = placed.(i) } :: !log;
+    emit_job "finish" ~t_s:t j [ ("turnaround_s", F (t -. j.Workload.arrival)) ];
+    turnarounds := (t -. j.Workload.arrival) :: !turnarounds;
+    incr completed
   in
-  let start_jobs () =
-    let continue = ref true in
-    while !continue do
-      match pick () with
-      | None -> continue := false
-      | Some j ->
-          let s = price j in
-          free := !free - j.Workload.nodes;
-          let rec take n acc rest =
-            if n = 0 then (List.rev acc, rest)
-            else
-              match rest with
-              | x :: tl -> take (n - 1) (x :: acc) tl
-              | [] -> (List.rev acc, [])
-          in
-          let placed, rest_ids = take j.Workload.nodes [] !free_ids in
-          free_ids := rest_ids;
-          (* placement-aware pricing: a fragmented gang's communication
-             climbs higher switch levels than the contiguous-best one,
-             stretching the comm share of its service time. Without a
-             topology the model-priced [s] is charged unchanged. *)
-          let s =
-            match topology with
-            | None -> s
-            | Some topo ->
-                let pen =
-                  Hwsim.Topology.placement_penalty topo ~nodes:j.Workload.nodes
-                    ~level:(Hwsim.Topology.crossing_of_ids topo placed)
-                in
-                if pen = 1.0 then s
-                else s *. (1.0 +. (comm_fraction *. (pen -. 1.0)))
-          in
-          Hashtbl.replace live j.Workload.id (!t, placed);
-          emit_job "dispatch" ~t_s:!t j
-            [ ("wait_s", F (!t -. j.Workload.arrival)); ("service_s", F s) ];
-          waits := (!t -. j.Workload.arrival) :: !waits;
-          busy_area := !busy_area +. (float_of_int j.Workload.nodes *. s);
-          running := (!t +. s, j) :: !running
-    done
+  let makespan =
+    Gang.run ~check ~on_submit ~on_event ~on_start ~on_finish ~slots:nodes
+      policy gang
   in
-  let next_event () =
-    let arrival =
-      match !pending with j :: _ -> Some j.Workload.arrival | [] -> None
-    in
-    let finish =
-      match !running with
-      | [] -> None
-      | l -> Some (List.fold_left (fun a (f, _) -> min a f) infinity l)
-    in
-    match (arrival, finish) with
-    | None, None -> None
-    | Some a, None -> Some a
-    | None, Some f -> Some f
-    | Some a, Some f -> Some (min a f)
-  in
-  let rec loop () =
-    match next_event () with
-    | None -> ()
-    | Some te ->
-        t := te;
-        let done_, still =
-          List.partition (fun (f, _) -> f <= !t +. 1e-12) !running
-        in
-        running := still;
-        List.iter
-          (fun (_, j) ->
-            free := !free + j.Workload.nodes;
-            let dispatched, placed =
-              Option.value
-                (Hashtbl.find_opt live j.Workload.id)
-                ~default:(0.0, [])
-            in
-            Hashtbl.remove live j.Workload.id;
-            free_ids := List.merge Int.compare placed !free_ids;
-            log := { job = j; dispatched; finished = !t; placed } :: !log;
-            emit_job "finish" ~t_s:!t j
-              [ ("turnaround_s", F (!t -. j.Workload.arrival)) ];
-            turnarounds := (!t -. j.Workload.arrival) :: !turnarounds;
-            incr completed)
-          done_;
-        let arrived, later =
-          List.partition (fun j -> j.Workload.arrival <= !t +. 1e-12) !pending
-        in
-        pending := later;
-        List.iter
-          (fun (j : Workload.job) ->
-            emit_job "submit" ~t_s:j.Workload.arrival j [])
-          arrived;
-        queue := !queue @ arrived;
-        start_jobs ();
-        sample ();
-        loop ()
-  in
-  start_jobs ();
-  sample ();
-  loop ();
   let waits = Array.of_list (List.rev !waits) in
   let turnarounds = Array.of_list (List.rev !turnarounds) in
   let sorted_w = Icoe_util.Stats.presort waits in
@@ -352,9 +174,9 @@ let simulate ?(check = false) ?topology ?(comm_fraction = 0.2) ~nodes
     nodes;
     submitted;
     completed = !completed;
-    makespan = !t;
-    utilization = !busy_area /. (float_of_int nodes *. max 1e-9 !t);
-    jobs_per_s = float_of_int !completed /. max 1e-9 !t;
+    makespan;
+    utilization = !busy_area /. (float_of_int nodes *. max 1e-9 makespan);
+    jobs_per_s = float_of_int !completed /. max 1e-9 makespan;
     mean_wait =
       (if Array.length waits = 0 then 0.0 else Icoe_util.Stats.mean waits);
     max_wait =

@@ -1,6 +1,8 @@
 (** Cluster-level batch scheduling of the job stream: the Sec 4.7
     policies generalized from a 16-GPU pool to node allocations on a
-    machine model, plus a partition/gang policy.
+    machine model, plus a partition/gang policy. The event loop is
+    {!Gang.run}; this module prices jobs, places them on concrete node
+    ids and records the lifecycle.
 
     Allocation is gang-style: a job holds all its nodes from dispatch to
     completion. Service times are not pre-drawn — each dispatch is
@@ -8,7 +10,7 @@
     requested allocation size (memoized; the models are pure), so the
     scheduler's "runtime estimates" are exact by construction. *)
 
-type policy =
+type policy = Gang.policy =
   | Fcfs  (** strict submission order; wide gangs block the head *)
   | Easy_backfill
       (** later jobs jump ahead only if they finish by the blocked

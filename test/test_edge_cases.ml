@@ -76,6 +76,22 @@ let test_scheduler_oversized_job () =
   let m = Opt.Scheduler.simulate ~gpus:4 Opt.Scheduler.Sjf jobs in
   Alcotest.(check int) "not completed" 0 m.Opt.Scheduler.completed
 
+let test_scheduler_oversized_head_does_not_block () =
+  (* an oversized job at the head of the line is filtered out up front
+     rather than blocking every job behind it *)
+  let jobs =
+    List.mapi
+      (fun id gpus -> { Opt.Scheduler.id; arrival = 0.0; duration = 1.0; gpus })
+      [ 9; 1; 1 ]
+  in
+  List.iter
+    (fun pol ->
+      let m = Opt.Scheduler.simulate ~gpus:4 pol jobs in
+      Alcotest.(check int)
+        (Opt.Scheduler.policy_name pol ^ " completes the two that fit")
+        2 m.Opt.Scheduler.completed)
+    [ Opt.Scheduler.Fcfs; Opt.Scheduler.Fcfs_backfill ]
+
 (* --- melodee --- *)
 
 let test_melodee_division_by_zero () =
@@ -248,6 +264,8 @@ let () =
         [
           Alcotest.test_case "empty workload" `Quick test_scheduler_empty_workload;
           Alcotest.test_case "oversized job" `Quick test_scheduler_oversized_job;
+          Alcotest.test_case "oversized head" `Quick
+            test_scheduler_oversized_head_does_not_block;
         ] );
       ( "melodee",
         [

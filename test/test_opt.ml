@@ -167,7 +167,93 @@ let test_fcfs_order_respected () =
   Alcotest.(check (float 1e-9)) "makespan" 4.0 m.Scheduler.makespan;
   Alcotest.(check (float 1e-9)) "max wait = 3" 3.0 m.Scheduler.max_wait
 
+let test_alloc_scales_linearly () =
+  (* SJF at 1.3x capacity: the queue grows with the horizon. Minor words
+     are deterministic, unlike wall time: 4x the horizon may cost at most
+     5x the allocation (the list-based loop this core replaced allocated
+     16x) *)
+  let gpus = 8 in
+  let mean_duration = exp (1.0 +. (0.6 *. 0.6 /. 2.0)) in
+  let rate = 1.3 *. Scheduler.capacity ~gpus ~mean_duration in
+  let words horizon =
+    let jobs =
+      Scheduler.poisson_workload ~rng:(Icoe_util.Rng.create 17) ~rate ~horizon ()
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Scheduler.simulate ~gpus Scheduler.Sjf jobs);
+    Gc.minor_words () -. w0
+  in
+  let short = words 500.0 and long = words 2000.0 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f Mwords <= 5 x %.2f" (long /. 1e6) (short /. 1e6))
+    true
+    (long <= 5.0 *. short)
+
 (* --- topopt --- *)
+
+let topopt_history_bits =
+  [|
+    4652144904661689326L;
+    4652365021796009368L;
+    4652569144572721631L;
+    4652791413076902438L;
+    4653027045775438851L;
+    4653267993293486967L;
+    4653502932757491915L;
+    4653727429542983492L;
+    4653931632847436004L;
+    4654096055336257320L;
+    4654206958402103804L;
+    4654256659546135039L;
+    4654244669073949629L;
+    4654177494345454799L;
+    4654050627030677683L;
+    4653881199664792471L;
+    4653692534518817728L;
+    4653509269775636748L;
+    4653326136761599855L;
+    4653156814293371270L;
+    4653018985318800704L;
+    4652844426617156582L;
+    4652711617779107326L;
+    4652606139583350685L;
+    4652519810958883726L;
+    4652447955328006184L;
+    4652394735188579217L;
+    4652351874452383553L;
+    4652318280838707550L;
+    4652288601291049479L;
+    4652263003249211255L;
+    4652238587154773328L;
+    4652218879353071162L;
+    4652184584876143373L;
+    4652150273792667723L;
+    4652116563736436957L;
+    4652083170312175306L;
+    4652050446754811592L;
+    4652018963156200988L;
+    4651987181765806767L;
+  |]
+
+let test_topopt_bits_pinned () =
+  (* the opt harness's 40-iteration design, pinned bit for bit: the
+     compliance history, the CG iteration count and a digest of the
+     final densities *)
+  let t = Topopt.create ~nx:20 ~ny:16 () in
+  let hist = Topopt.optimize ~iters:40 t in
+  Alcotest.(check (array int64))
+    "compliance history bits" topopt_history_bits
+    (Array.map Int64.bits_of_float hist);
+  Alcotest.(check int) "cg iterations" 29895 t.Topopt.cg_iters_total;
+  Alcotest.(check string)
+    "rho digest" "433c79f13acc6cfc409f7b9d74779d63"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ","
+             (Array.to_list
+                (Array.map
+                   (fun x -> Int64.to_string (Int64.bits_of_float x))
+                   t.Topopt.rho)))))
 
 let test_topopt_volume_constraint () =
   let t = Topopt.create ~volfrac:0.4 ~nx:20 ~ny:16 () in
@@ -565,6 +651,8 @@ let () =
             test_backfill_spare_capacity;
           Alcotest.test_case "backfill = fcfs when impossible" `Quick
             test_backfill_agrees_with_fcfs_when_impossible;
+          Alcotest.test_case "allocation scales linearly" `Quick
+            test_alloc_scales_linearly;
           QCheck_alcotest.to_alcotest prop_scheduler_conservation;
           QCheck_alcotest.to_alcotest prop_backfill_never_delays_head;
           QCheck_alcotest.to_alcotest prop_quota_share_bounded;
@@ -575,6 +663,7 @@ let () =
           Alcotest.test_case "compliance decreases" `Quick test_topopt_compliance_decreases;
           Alcotest.test_case "forms structure" `Quick test_topopt_forms_structure;
           Alcotest.test_case "texture cache" `Quick test_texture_cache_story;
+          Alcotest.test_case "bits pinned" `Quick test_topopt_bits_pinned;
         ] );
       ( "paradyn",
         [

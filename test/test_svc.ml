@@ -140,6 +140,26 @@ let test_saturation_contract () =
   Alcotest.(check bool) "overload waits dwarf underload waits" true
     (over > 3.0 *. under)
 
+let test_alloc_scales_linearly () =
+  (* minor words are deterministic, unlike wall time: a 4x longer stream
+     at 0.9 of capacity may cost at most 5x the allocation (the list-based
+     loop this core replaced allocated 14x) *)
+  let words pol horizon =
+    let jobs = stream ~seed:21 ~mult:0.9 ~horizon in
+    let w0 = Gc.minor_words () in
+    ignore (Cluster.simulate ~nodes ~classes pol jobs);
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun pol ->
+      let short = words pol 15_000.0 and long = words pol 60_000.0 in
+      Alcotest.(check bool)
+        (Fmt.str "%s: %.2f Mwords <= 5 x %.2f" (Cluster.policy_name pol)
+           (long /. 1e6) (short /. 1e6))
+        true
+        (long <= 5.0 *. short))
+    [ Cluster.Fcfs; Cluster.Easy_backfill; Cluster.Sjf_quota 0.5 ]
+
 let prop_svc_conservation =
   QCheck.Test.make ~name:"svc policies complete every submitted job"
     ~count:10
@@ -171,6 +191,8 @@ let () =
           Alcotest.test_case "backfill beats fcfs" `Quick
             test_backfill_beats_fcfs;
           Alcotest.test_case "saturation" `Quick test_saturation_contract;
+          Alcotest.test_case "allocation scales linearly" `Quick
+            test_alloc_scales_linearly;
           QCheck_alcotest.to_alcotest prop_svc_conservation;
         ] );
     ]
