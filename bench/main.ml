@@ -672,6 +672,19 @@ let alloc_smoke () =
   measure "dlearn/mlp-backward" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.backward mlp mx ~label:1);
       Dlearn.Mlp.zero_grads mlp);
+  (* hypre BoxLoops: one Jacobi sweep plus the residual max-norm on the
+     64^2 structured grid, and one PFMG V-cycle on n = 63 *)
+  let hctx = Prog.Exec.on_v100 (Hwsim.Clock.create ()) in
+  let s = Hypre.Boxloop.Struct_solver.create 64 64 in
+  s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
+  measure "hypre/struct-sweep" ~budget:seq_budget (fun () ->
+      Hypre.Boxloop.Struct_solver.jacobi_sweep hctx s;
+      ignore (Hypre.Boxloop.Struct_solver.residual_norm hctx s));
+  let pf = Hypre.Pfmg.create 63 in
+  let f = Hypre.Pfmg.finest pf in
+  f.Hypre.Pfmg.b.(Hypre.Pfmg.idx f 32 32) <- 1.0;
+  measure "hypre/pfmg-vcycle" ~budget:seq_budget (fun () ->
+      Hypre.Pfmg.v_cycle hctx pf);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -12,6 +12,19 @@ val reset : t -> unit
 val tick : t -> phase:string -> float -> unit
 (** Charge nonnegative seconds to a named phase. *)
 
+type cell = { mutable seconds : float }
+(** A reusable seconds cell. It is float-only, so writing it allocates
+    nothing. *)
+
+val cell : unit -> cell
+(** A zeroed cell. *)
+
+val tick_cell : t -> phase:string -> cell -> unit
+(** [tick_cell t ~phase c] is [tick t ~phase c.seconds] for hot paths:
+    a freshly computed float passed to {!tick} is boxed at the call,
+    while a cell the caller owns and reuses is not, so a charge through
+    it allocates nothing once the phase exists. *)
+
 val attribute : t -> phase:string -> float -> unit
 (** Charge nonnegative seconds to a phase's breakdown WITHOUT advancing
     the total. Used by {!Sched} for overlapped work: per-phase busy

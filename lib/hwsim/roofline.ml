@@ -24,6 +24,20 @@ let default_eff = { compute = 0.6; bandwidth = 0.75 }
 (** Which roof binds. *)
 type bound = Compute_bound | Bandwidth_bound
 
+let[@inline] lane_fraction ?lanes_used (d : Device.t) =
+  match lanes_used with
+  | None -> 1.0
+  | Some l ->
+      assert (l > 0 && l <= d.Device.lanes);
+      float_of_int l /. float_of_int d.Device.lanes
+
+(* the two roofs: attainable flop/s and byte/s *)
+let[@inline] flop_rate eff lane_frac (d : Device.t) =
+  d.Device.peak_gflops *. 1e9 *. eff.compute *. lane_frac
+
+let[@inline] byte_rate eff lane_frac (d : Device.t) =
+  d.Device.mem_bw_gbs *. 1e9 *. eff.bandwidth *. lane_frac
+
 (** Execution time in seconds of kernel [k] on device [d], together with
     the roof that bound it under the same efficiency/lane scaling.
     [lanes_used] (default: all) idles part of the chip, scaling both
@@ -31,20 +45,19 @@ type bound = Compute_bound | Bandwidth_bound
     idle" case is modelled. *)
 let time_and_bound ?(eff = default_eff) ?lanes_used (d : Device.t)
     (k : Kernel.t) =
-  let lane_frac =
-    match lanes_used with
-    | None -> 1.0
-    | Some l ->
-        assert (l > 0 && l <= d.Device.lanes);
-        float_of_int l /. float_of_int d.Device.lanes
-  in
-  let peak = d.Device.peak_gflops *. 1e9 *. eff.compute *. lane_frac in
-  let bw = d.Device.mem_bw_gbs *. 1e9 *. eff.bandwidth *. lane_frac in
+  let lane_frac = lane_fraction ?lanes_used d in
+  let peak = flop_rate eff lane_frac d in
+  let bw = byte_rate eff lane_frac d in
   let compute_t = k.Kernel.flops /. peak in
   let mem_t = k.Kernel.bytes /. bw in
   ( (float_of_int k.Kernel.launches *. d.Device.launch_overhead_s)
     +. max compute_t mem_t,
     if compute_t >= mem_t then Compute_bound else Bandwidth_bound )
+
+(** The roofs [time] divides by, as (flop/s, byte/s). *)
+let rates ?(eff = default_eff) ?lanes_used (d : Device.t) =
+  let lane_frac = lane_fraction ?lanes_used d in
+  (flop_rate eff lane_frac d, byte_rate eff lane_frac d)
 
 let time ?eff ?lanes_used d k = fst (time_and_bound ?eff ?lanes_used d k)
 

@@ -25,6 +25,13 @@ val time : ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> float
     idles part of the chip, scaling both roofs — how the Cretin
     memory-constrained core-idling case is modelled. *)
 
+val rates : ?eff:efficiency -> ?lanes_used:int -> Device.t -> float * float
+(** The two roofs {!time} prices against: attainable (flop/s, byte/s)
+    under the efficiency and lane scaling. A kernel without launches
+    takes [max (flops / flop_rate) (bytes / byte_rate)] seconds, so a
+    caller that prices many loops can take the rates once and divide
+    without building a {!Kernel.t} per loop. *)
+
 val time_and_bound :
   ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> float * bound
 (** [time] plus which roof bound the kernel under the same scaling; the

@@ -12,13 +12,34 @@ type ctx = {
   device : Hwsim.Device.t;
   link : Hwsim.Link.t;
   clock : Hwsim.Clock.t;
+  flop_rate : float;
+  byte_rate : float;
+  launch_s : float;
+  combine_s : float;
+  dt : Hwsim.Clock.cell;
   mutable launches : int;
-  mutable flops : float;
-  mutable bytes : float;
 }
 
 let make_ctx ?(link = Hwsim.Link.nvlink2) ~policy ~device ~clock () =
-  { policy; device; link; clock; launches = 0; flops = 0.0; bytes = 0.0 }
+  let flop_rate, byte_rate =
+    Hwsim.Roofline.rates ~eff:(Policy.efficiency policy device) device
+  in
+  (* tree-combine of a reduction across lanes *)
+  let depth =
+    Float.of_int device.Hwsim.Device.lanes |> Float.log2 |> Float.ceil
+  in
+  {
+    policy;
+    device;
+    link;
+    clock;
+    flop_rate;
+    byte_rate;
+    launch_s = Policy.launch_multiplier policy *. device.Hwsim.Device.launch_overhead_s;
+    combine_s = depth *. 0.2e-6;
+    dt = Hwsim.Clock.cell ();
+    launches = 0;
+  }
 
 (** Context for one Sierra V100 under a policy. *)
 let on_v100 ?(policy = Policy.Cuda) clock =
@@ -28,22 +49,19 @@ let on_v100 ?(policy = Policy.Cuda) clock =
 let on_p9 ?(policy = Policy.Openmp 22) clock =
   make_ctx ~policy ~device:Hwsim.Device.power9 ~link:Hwsim.Link.nvlink2 ~clock ()
 
+(* The roofline price of a launch-free kernel of [n] elements
+   ([Hwsim.Roofline.time] with [launches = 0]) plus the policy's launch
+   cost, divided out against the context's cached rates and handed to
+   the clock through [ctx.dt], so a charge allocates nothing. *)
 let charge ctx ~phase ~n ~flops_per ~bytes_per =
-  let k =
-    Hwsim.Kernel.make ~name:phase
-      ~flops:(float_of_int n *. flops_per)
-      ~bytes:(float_of_int n *. bytes_per)
-      ~launches:0 ()
-  in
-  let eff = Policy.efficiency ctx.policy ctx.device in
-  let launch =
-    Policy.launch_multiplier ctx.policy *. ctx.device.Hwsim.Device.launch_overhead_s
-  in
-  let dt = launch +. Hwsim.Roofline.time ~eff ctx.device k in
+  let flops = float_of_int n *. flops_per in
+  let bytes = float_of_int n *. bytes_per in
+  assert (flops >= 0.0 && bytes >= 0.0);
+  let compute_t = flops /. ctx.flop_rate and mem_t = bytes /. ctx.byte_rate in
+  ctx.dt.Hwsim.Clock.seconds <-
+    ctx.launch_s +. if compute_t >= mem_t then compute_t else mem_t;
   ctx.launches <- ctx.launches + 1;
-  ctx.flops <- ctx.flops +. k.Hwsim.Kernel.flops;
-  ctx.bytes <- ctx.bytes +. k.Hwsim.Kernel.bytes;
-  Hwsim.Clock.tick ctx.clock ~phase dt
+  Hwsim.Clock.tick_cell ctx.clock ~phase ctx.dt
 
 (** Parallel-for: runs the body for real, charges simulated time. *)
 let forall ctx ?(phase = "forall") ~n ~flops_per ~bytes_per f =
@@ -52,19 +70,18 @@ let forall ctx ?(phase = "forall") ~n ~flops_per ~bytes_per f =
   done;
   charge ctx ~phase ~n ~flops_per ~bytes_per
 
-(** Reduction returning the fold result; charged like a forall plus a
-    log-depth combine term. *)
+(** Price an n-element reduction: a forall plus a log-depth combine term. *)
+let charge_reduce ctx ~phase ~n ~flops_per ~bytes_per =
+  charge ctx ~phase ~n ~flops_per ~bytes_per;
+  Hwsim.Clock.tick ctx.clock ~phase ctx.combine_s
+
+(** Reduction returning the fold result; charged by [charge_reduce]. *)
 let reduce ctx ?(phase = "reduce") ~n ~flops_per ~bytes_per ~init ~combine f =
   let acc = ref init in
   for i = 0 to n - 1 do
     acc := combine !acc (f i)
   done;
-  charge ctx ~phase ~n ~flops_per ~bytes_per;
-  (* tree-combine across lanes *)
-  let depth =
-    Float.of_int ctx.device.Hwsim.Device.lanes |> Float.log2 |> Float.ceil
-  in
-  Hwsim.Clock.tick ctx.clock ~phase (depth *. 0.2e-6);
+  charge_reduce ctx ~phase ~n ~flops_per ~bytes_per;
   !acc
 
 (** Price a host<->device transfer of [bytes] (e.g. halo exchange staging). *)

@@ -6,15 +6,20 @@
     fusion is then a first-class, measurable transformation: one fused
     [forall] pays one launch where k separate ones pay k. *)
 
-type ctx = {
+type ctx = private {
   policy : Policy.t;
   device : Hwsim.Device.t;
   link : Hwsim.Link.t;
   clock : Hwsim.Clock.t;
+  flop_rate : float;  (** the policy's compute roof on the device, flop/s *)
+  byte_rate : float;  (** the policy's memory roof on the device, byte/s *)
+  launch_s : float;  (** launch overhead of one loop under the policy *)
+  combine_s : float;  (** a reduction's log-depth tree-combine term *)
+  dt : Hwsim.Clock.cell;  (** reused to hand each charge to the clock *)
   mutable launches : int;
-  mutable flops : float;
-  mutable bytes : float;
 }
+(** Built only by {!make_ctx}, which prices the policy on the device
+    once; the rates stay consistent with [policy] and [device]. *)
 
 val make_ctx :
   ?link:Hwsim.Link.t ->
@@ -33,6 +38,11 @@ val on_p9 : ?policy:Policy.t -> Hwsim.Clock.t -> ctx
 val charge : ctx -> phase:string -> n:int -> flops_per:float -> bytes_per:float -> unit
 (** Price an n-element loop without running a body (for callers that
     executed the work themselves). *)
+
+val charge_reduce :
+  ctx -> phase:string -> n:int -> flops_per:float -> bytes_per:float -> unit
+(** Price an n-element reduction without running a body: [charge] plus
+    the log-depth combine term, the exact charge of {!reduce}. *)
 
 val forall :
   ctx -> ?phase:string -> n:int -> flops_per:float -> bytes_per:float ->

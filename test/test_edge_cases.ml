@@ -113,6 +113,41 @@ let test_boxloop_rejects_inverted_box () =
   expect_assert "inverted box" (fun () ->
       Samrai.Box.make ~ilo:5 ~jlo:0 ~ihi:2 ~jhi:3)
 
+let test_boxloop_inverted_box_is_empty () =
+  (* both extents negative: their product must not become a phantom
+     cell at (ilo, jlo) *)
+  let b = { Hypre.Boxloop.ilo = 5; ihi = 3; jlo = 5; jhi = 3 } in
+  Alcotest.(check int) "size 0" 0 (Hypre.Boxloop.box_size b);
+  Alcotest.(check int) "one inverted extent" 0
+    (Hypre.Boxloop.box_size { b with jhi = 9 });
+  let clock = Hwsim.Clock.create () in
+  let ctx = Prog.Exec.on_v100 clock in
+  let visits = ref 0 in
+  Hypre.Boxloop.boxloop2 ctx ~phase:"empty" ~flops_per:8.0 ~bytes_per:48.0 b
+    (fun _ ilo ihi -> visits := !visits + (ihi - ilo + 1));
+  Alcotest.(check int) "no cell visited" 0 !visits;
+  (* charged for n = 0: the launch alone *)
+  let reference = Prog.Exec.on_v100 (Hwsim.Clock.create ()) in
+  Prog.Exec.charge reference ~phase:"empty" ~n:0 ~flops_per:8.0 ~bytes_per:48.0;
+  Alcotest.(check int64) "charged as n = 0"
+    (Int64.bits_of_float (Prog.Exec.elapsed reference))
+    (Int64.bits_of_float (Hwsim.Clock.total clock))
+
+let test_struct_solver_rejects_no_interior () =
+  List.iter
+    (fun (nx, ny) ->
+      match Hypre.Boxloop.Struct_solver.create nx ny with
+      | _ -> Alcotest.failf "%dx%d: expected Invalid_argument" nx ny
+      | exception Invalid_argument _ -> ())
+    [ (1, 1); (2, 8); (8, 2) ];
+  (* the smallest grid with an interior still solves *)
+  let s = Hypre.Boxloop.Struct_solver.create 3 3 in
+  s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 1 1) <- 1.0;
+  let _, rel =
+    Hypre.Boxloop.Struct_solver.solve (Prog.Exec.on_v100 (Hwsim.Clock.create ())) s
+  in
+  Alcotest.(check bool) "3x3 converges" true (rel <= 1e-8)
+
 (* --- linalg regression: unguarded curvature division in cg --- *)
 
 let test_cg_singular_projection_stays_finite () =
@@ -276,6 +311,10 @@ let () =
         [
           Alcotest.test_case "pfmg size" `Quick test_pfmg_rejects_bad_size;
           Alcotest.test_case "inverted box" `Quick test_boxloop_rejects_inverted_box;
+          Alcotest.test_case "boxloop inverted box empty" `Quick
+            test_boxloop_inverted_box_is_empty;
+          Alcotest.test_case "struct solver no interior" `Quick
+            test_struct_solver_rejects_no_interior;
         ] );
       ( "util",
         [

@@ -178,13 +178,20 @@ let mk_ctx policy =
 
 let test_boxloop_sweeps_box () =
   let ctx, _ = mk_ctx Prog.Policy.Cuda in
-  let hits = ref 0 in
+  let cells = ref [] in
   Hypre.Boxloop.boxloop2 ctx ~flops_per:0.0 ~bytes_per:0.0
     { Hypre.Boxloop.ilo = 2; ihi = 4; jlo = 1; jhi = 3 }
-    (fun i j ->
-      Alcotest.(check bool) "in box" true (i >= 2 && i <= 4 && j >= 1 && j <= 3);
-      incr hits);
-  Alcotest.(check int) "9 cells" 9 !hits
+    (fun j ilo ihi ->
+      for i = ilo to ihi do
+        Alcotest.(check bool) "in box" true (i >= 2 && i <= 4 && j >= 1 && j <= 3);
+        cells := (i, j) :: !cells
+      done);
+  Alcotest.(check int) "9 cells" 9 (List.length !cells);
+  (* rows ascending, cells ascending within a row: row-major order *)
+  Alcotest.(check (list (pair int int))) "row-major order"
+    (List.concat_map (fun j -> List.map (fun i -> (i, j)) [ 2; 3; 4 ]) [ 1; 2; 3 ])
+    (List.rev !cells);
+  Alcotest.(check int) "one launch" 1 ctx.Prog.Exec.launches
 
 let test_struct_solver_converges () =
   let ctx, _ = mk_ctx Prog.Policy.Cuda in
@@ -215,8 +222,9 @@ let test_struct_solver_backend_retarget () =
   let u_cuda, t_cuda, r1 = run Prog.Policy.Cuda in
   let u_raja, t_raja, r2 = run Prog.Policy.Raja_cuda in
   Alcotest.(check bool) "both converge" true (r1 < 1e-8 && r2 < 1e-8);
-  Alcotest.(check bool) "identical numerics" true
-    (Icoe_util.Stats.max_abs_diff u_cuda u_raja < 1e-15);
+  Alcotest.(check (array int64)) "bitwise identical numerics"
+    (Array.map Int64.bits_of_float u_cuda)
+    (Array.map Int64.bits_of_float u_raja);
   Alcotest.(check bool) "different simulated cost" true (t_cuda <> t_raja)
 
 (* --- PFMG (structured geometric multigrid) --- *)
@@ -288,6 +296,100 @@ let test_pfmg_beats_jacobi_cost () =
   in
   Alcotest.(check bool) "pfmg much cheaper" true (run_pfmg () *. 5.0 < run_jacobi ())
 
+(* --- bit pins ---
+
+   Recorded from the per-cell BoxLoop engine this solver was first
+   written on. Every float the structured solvers produce, and every
+   simulated second they charge, must reproduce these bit for bit under
+   any loop shape: a reordered sum, a skipped cell or a changed charge
+   fails here. *)
+
+let bits = Int64.bits_of_float
+
+let digest_bits a =
+  let buf = Buffer.create (8 * Array.length a) in
+  Array.iter (fun x -> Buffer.add_int64_le buf (bits x)) a;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let check_clock name clock (total, phases) =
+  Alcotest.(check int64) (name ^ ": clock total") total (bits (Hwsim.Clock.total clock));
+  Alcotest.(check (list (pair string int64)))
+    (name ^ ": clock breakdown") phases
+    (List.map (fun (p, s) -> (p, bits s)) (Hwsim.Clock.breakdown clock))
+
+(* the hypre harness's 64^2 Jacobi solve under its four backends:
+   (policy, sweeps, relative residual, digest of u, clock) *)
+let struct_pins =
+  [
+    ( Prog.Policy.Openmp 22, 5000, 4529825409046413312L, "1d273a8214ba17a555ef70fa47bd2ea6",
+      ( 4585129004263717190L,
+        [
+          ("struct-residual", 4567712931549841750L);
+          ("struct-smooth", 4581146484148593549L);
+          ("struct-copy", 4578656201956523088L);
+        ] ) );
+    ( Prog.Policy.Omp_target, 5000, 4529825409046413312L, "1d273a8214ba17a555ef70fa47bd2ea6",
+      ( 4593337734675720302L,
+        [
+          ("struct-residual", 4574107279683687491L);
+          ("struct-smooth", 4588436448895065470L);
+          ("struct-copy", 4588299664010384152L);
+        ] ) );
+    ( Prog.Policy.Raja_cuda, 5000, 4529825409046413312L, "1d273a8214ba17a555ef70fa47bd2ea6",
+      ( 4591761933429516072L,
+        [
+          ("struct-residual", 4572906851508900629L);
+          ("struct-smooth", 4586941891904544425L);
+          ("struct-copy", 4586792672030344777L);
+        ] ) );
+    ( Prog.Policy.Cuda, 5000, 4529825409046413312L, "1d273a8214ba17a555ef70fa47bd2ea6",
+      ( 4590148075280512357L,
+        [
+          ("struct-residual", 4571663783181138622L);
+          ("struct-smooth", 4585394247074163926L);
+          ("struct-copy", 4585267984103687357L);
+        ] ) );
+  ]
+
+let test_struct_solver_bit_pins () =
+  List.iter
+    (fun (policy, sweeps, rel, u_digest, clock_pin) ->
+      let name = Prog.Policy.name policy in
+      let clock = Hwsim.Clock.create () in
+      let device =
+        if Prog.Policy.side policy = Prog.Policy.Host then Hwsim.Device.power9
+        else Hwsim.Device.v100
+      in
+      let ctx = Prog.Exec.make_ctx ~policy ~device ~clock () in
+      let s = Hypre.Boxloop.Struct_solver.create 64 64 in
+      s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
+      let n, r = Hypre.Boxloop.Struct_solver.solve ~tol:1e-6 ctx s in
+      Alcotest.(check int) (name ^ ": sweeps") sweeps n;
+      Alcotest.(check int64) (name ^ ": relative residual") rel (bits r);
+      Alcotest.(check string) (name ^ ": u") u_digest
+        (digest_bits s.Hypre.Boxloop.Struct_solver.u);
+      check_clock name clock clock_pin)
+    struct_pins
+
+let test_pfmg_bit_pins () =
+  let ctx, clock = mk_ctx Prog.Policy.Cuda in
+  let t = Hypre.Pfmg.create 63 in
+  let f = Hypre.Pfmg.finest t in
+  f.Hypre.Pfmg.b.(Hypre.Pfmg.idx f 32 32) <- 1.0;
+  let cycles, rel = Hypre.Pfmg.solve ~tol:1e-8 ctx t in
+  Alcotest.(check int) "cycles" 9 cycles;
+  Alcotest.(check int64) "relative residual" 4479011832954093568L (bits rel);
+  Alcotest.(check string) "u" "191abe08c592482078a30af2a8032627" (digest_bits f.Hypre.Pfmg.u);
+  check_clock "pfmg" clock
+    ( 4571927859359067319L,
+      [
+        ("pfmg-residual", 4555980992264084531L);
+        ("pfmg-smooth", 4565837036894121308L);
+        ("pfmg-copy", 4565797570321672366L);
+        ("pfmg-restrict", 4554469903100621282L);
+        ("pfmg-prolong", 4554505525182407931L);
+      ] )
+
 let prop_amg_random_spd =
   QCheck.Test.make ~name:"AMG-PCG solves random sizes of 2D Laplacian" ~count:5
     QCheck.(int_range 6 20)
@@ -334,5 +436,7 @@ let () =
           Alcotest.test_case "sweeps box" `Quick test_boxloop_sweeps_box;
           Alcotest.test_case "struct solver" `Quick test_struct_solver_converges;
           Alcotest.test_case "backend retarget" `Quick test_struct_solver_backend_retarget;
+          Alcotest.test_case "struct solver bit pins" `Quick test_struct_solver_bit_pins;
+          Alcotest.test_case "pfmg bit pins" `Quick test_pfmg_bit_pins;
         ] );
     ]

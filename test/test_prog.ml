@@ -73,6 +73,76 @@ let test_reduce_result () =
   in
   check_float "sum 0..99" 4950.0 s
 
+(* every policy on the device of its side *)
+let policy_ctxs () =
+  List.map
+    (fun policy ->
+      let device =
+        if Prog.Policy.side policy = Prog.Policy.Host then Hwsim.Device.power9
+        else Hwsim.Device.v100
+      in
+      fun clock -> Prog.Exec.make_ctx ~policy ~device ~clock ())
+    Prog.Policy.
+      [ Serial; Openmp 1; Openmp 22; Omp_target; Openacc; Raja_cuda; Cuda; Cuda_shared ]
+
+let clock_bits clock =
+  ( Int64.bits_of_float (Hwsim.Clock.total clock),
+    List.map (fun (p, s) -> (p, Int64.bits_of_float s)) (Hwsim.Clock.breakdown clock) )
+
+let test_charge_reduce_matches_reduce () =
+  (* [reduce] charges exactly [charge] plus [charge_reduce]'s combine
+     term: a run of reduces and a run of bare charges with
+     [charge_reduce] in their place leave the same clock, bit for bit *)
+  List.iter
+    (fun mk ->
+      let clock_a = Hwsim.Clock.create () and clock_b = Hwsim.Clock.create () in
+      let a = mk clock_a and b = mk clock_b in
+      List.iter
+        (fun n ->
+          Prog.Exec.charge a ~phase:"sweep" ~n ~flops_per:8.0 ~bytes_per:48.0;
+          Prog.Exec.charge b ~phase:"sweep" ~n ~flops_per:8.0 ~bytes_per:48.0;
+          let m =
+            Prog.Exec.reduce a ~phase:"norm" ~n ~flops_per:7.0 ~bytes_per:48.0
+              ~init:0.0 ~combine:max (fun i -> float_of_int (i mod 13))
+          in
+          Prog.Exec.charge_reduce b ~phase:"norm" ~n ~flops_per:7.0 ~bytes_per:48.0;
+          check_float "fold result" (float_of_int (min 12 (max 0 (n - 1)))) m)
+        [ 0; 1; 62; 3844; 1_000_000 ];
+      Alcotest.(check (pair int64 (list (pair string int64))))
+        "same clock" (clock_bits clock_a) (clock_bits clock_b);
+      Alcotest.(check int) "same launches" a.Prog.Exec.launches b.Prog.Exec.launches)
+    (policy_ctxs ())
+
+let test_charge_is_roofline_price () =
+  (* [charge] divides by the context's cached rates; it must price a loop
+     exactly as the roofline prices the same launch-free kernel, plus the
+     policy's launch cost *)
+  List.iter
+    (fun mk ->
+      List.iter
+        (fun (n, flops_per, bytes_per) ->
+          let clock = Hwsim.Clock.create () in
+          let ctx = mk clock in
+          Prog.Exec.charge ctx ~phase:"k" ~n ~flops_per ~bytes_per;
+          let k =
+            Hwsim.Kernel.make ~name:"k" ~launches:0
+              ~flops:(float_of_int n *. flops_per)
+              ~bytes:(float_of_int n *. bytes_per) ()
+          in
+          let eff = Prog.Policy.efficiency ctx.Prog.Exec.policy ctx.Prog.Exec.device in
+          let expected =
+            (Prog.Policy.launch_multiplier ctx.Prog.Exec.policy
+            *. ctx.Prog.Exec.device.Hwsim.Device.launch_overhead_s)
+            +. Hwsim.Roofline.time ~eff ctx.Prog.Exec.device k
+          in
+          Alcotest.(check int64)
+            (Fmt.str "n=%d flops=%g bytes=%g" n flops_per bytes_per)
+            (Int64.bits_of_float expected)
+            (Int64.bits_of_float (Hwsim.Clock.total clock)))
+        [ (0, 8.0, 48.0); (1, 0.0, 16.0); (3844, 8.0, 48.0); (3969, 12.0, 80.0);
+          (1_000_000, 100.0, 8.0); (7, 1e6, 0.0) ])
+    (policy_ctxs ())
+
 let test_darray_move_charges () =
   let clock = Hwsim.Clock.create () in
   let a = Prog.Space.Darray.create 1000 in
@@ -129,6 +199,10 @@ let () =
           Alcotest.test_case "policy ordering" `Quick test_policy_ordering_on_gpu;
           Alcotest.test_case "openmp scaling" `Quick test_openmp_thread_scaling;
           Alcotest.test_case "reduce result" `Quick test_reduce_result;
+          Alcotest.test_case "charge_reduce matches reduce" `Quick
+            test_charge_reduce_matches_reduce;
+          Alcotest.test_case "charge is the roofline price" `Quick
+            test_charge_is_roofline_price;
           QCheck_alcotest.to_alcotest prop_forall_runs_all;
         ] );
       ( "space",
